@@ -123,7 +123,8 @@ func TestBatchPreJoinStrategies(t *testing.T) {
 	for i, in := range inputs {
 		want[i], _, _ = m.Predict(in)
 	}
-	for _, strat := range []PreJoinStrategy{PreJoinNone, PreJoinMapping} {
+	joins := map[PreJoinStrategy]int{}
+	for _, strat := range []PreJoinStrategy{PreJoinNone, PreJoinMapping, PreJoinInput} {
 		db := sqldb.New()
 		db.Profile = sqldb.NewProfile()
 		tr := NewTranslator(db, "m")
@@ -132,6 +133,7 @@ func TestBatchPreJoinStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		db.Profile.Reset()
 		got, err := tr.InferBatch(sm, inputs)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
@@ -141,6 +143,17 @@ func TestBatchPreJoinStrategies(t *testing.T) {
 				t.Fatalf("%v sample %d: %d vs %d", strat, i, got[i], want[i])
 			}
 		}
+		if op := db.Profile.Ops[sqldb.OpJoin]; op != nil {
+			joins[strat] = op.Calls
+		}
+	}
+	// Strategy 3 replaces the first FeatureMap ⋈ Kernel join with the
+	// pre-multiplied encoding: the batch must execute fewer joins than
+	// under strategy 2. (The step count is equal: one grouped SUM stands
+	// in for the join statement.)
+	if joins[PreJoinInput] >= joins[PreJoinMapping] {
+		t.Fatalf("batched prejoin-input ran %d joins, prejoin-mapping %d: strategy 3 not applied",
+			joins[PreJoinInput], joins[PreJoinMapping])
 	}
 }
 

@@ -135,7 +135,7 @@ func (t *Translator) snapshotRel(cur relForm) *cachedRel {
 // returns the relForm resuming the pipeline from it.
 func (t *Translator) restoreRel(rel *cachedRel, temps *[]string) (relForm, error) {
 	name := t.nextTemp("chit")
-	t.dropIfExists(name)
+	t.DB.DropTable(name)
 	tb, err := t.DB.CreateTable(name, append(sqldb.Schema(nil), rel.schema...))
 	if err != nil {
 		return relForm{}, err

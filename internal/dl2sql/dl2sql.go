@@ -13,14 +13,21 @@
 //	Q4: batch norm = (Value - AVG)/(stddevSamp + ε) per channel
 //	Q5: residual = elementwise add of two block outputs + UPDATE-based ReLU
 //
-// Intermediate results flow through two relational forms:
+// Intermediate results flow through two relational forms, each with an
+// optional leading SampleID column:
 //
-//   - patch form ("FeatureMap"): {MatrixID, OrderID, Value} — one row per
-//     (output position, receptive-field element); element order matches
-//     tensor.Im2Col (channel-major, then row-major), so the SQL pipeline and
-//     the native nn engine are numerically identical.
-//   - flat form ("Layer_Output"): {TupleID, KernelID, Value} — one row per
-//     output element; TupleID = channel*H*W + y*W + x.
+//   - patch form ("FeatureMap"): {[SampleID,] MatrixID, OrderID, Value} —
+//     one row per (output position, receptive-field element); element order
+//     matches tensor.Im2Col (channel-major, then row-major), so the SQL
+//     pipeline and the native nn engine are numerically identical.
+//   - flat form ("Layer_Output"): {[SampleID,] TupleID, KernelID, Value} —
+//     one row per output element; TupleID = channel*H*W + y*W + x.
+//
+// Per-sample inference (Infer, InferTensor) uses the unkeyed forms. Batch
+// inference (InferBatch) — the paper runs nUDFs "in a batch manner" — uses
+// the keyed forms, so each operator is one statement for the whole batch.
+// There is one SQL template per operator: it takes its SampleID fragments
+// from the form, and an unkeyed form renders them empty.
 //
 // IDs are zero-based (the paper's figures are one-based; the arithmetic is
 // otherwise identical).
@@ -102,10 +109,11 @@ type Translator struct {
 	// step (Conv1, Reshape1, BN1, Classification, ...), nesting the SQL
 	// inference pipeline under the caller's trace.
 	Span *obs.Span
-	// Cache, when non-nil, memoizes whole inferences and materialized
-	// per-layer intermediates across Infer calls (see PipelineCache).
-	// Cached steps are recorded with a " [cached]" label suffix. Batch
-	// inference (InferBatch) is never cached.
+	// Cache, when non-nil, memoizes whole per-sample inferences and
+	// their materialized per-layer intermediates (the unkeyed forms)
+	// across Infer and InferTensor calls (see PipelineCache). Cached
+	// steps are recorded with a " [cached]" label suffix. Batch
+	// inference (InferBatch, the keyed forms) is never cached.
 	Cache *PipelineCache
 	// Ctx, when non-nil, is threaded to every generated SQL statement, so
 	// a caller's cancellation or deadline aborts the pipeline between (and,
@@ -146,10 +154,12 @@ func (t *Translator) StepTotal() time.Duration {
 func (t *Translator) record(label string, rows int, d time.Duration) {
 	t.Steps = append(t.Steps, StepCost{Label: label, Rows: rows, Time: d})
 	if t.Span != nil {
-		sp := t.Span.StartChild(label)
-		sp.Start = sp.Start.Add(-d) // backdate: the step already ran
+		// Backdated: the step already ran. Once the trace's span budget is
+		// spent the child is nil, and nil spans are no-ops.
+		now := time.Now()
+		sp := t.Span.StartChildAt(label, now.Add(-d))
 		sp.SetAttr("rows", rows)
-		sp.Finish()
+		sp.FinishAt(now)
 	}
 }
 
@@ -186,7 +196,7 @@ func (t *Translator) exec(label, sql string) (*sqldb.Result, error) {
 	return res, nil
 }
 
-// execCountTarget runs DDL/DML producing a table and records the created
+// execToTable runs DDL/DML producing a table and records the created
 // table's row count.
 func (t *Translator) execToTable(label, table, sql string) error {
 	if t.Trace {
@@ -204,9 +214,20 @@ func (t *Translator) execToTable(label, table, sql string) error {
 	return nil
 }
 
+// materialize runs a CREATE TEMP TABLE statement into a fresh temp table
+// named after tag and returns that table; the format's first verb
+// receives the new table's name.
+func (t *Translator) materialize(label, tag string, temps *[]string, format string, args ...any) (string, error) {
+	out := t.nextTemp(tag)
+	*temps = append(*temps, out)
+	return out, t.execToTable(label, out, fmt.Sprintf(format, append([]any{out}, args...)...))
+}
+
 // relForm describes the current intermediate relation during inference.
 type relForm struct {
 	table string
+	// keyed=true → every row leads with a SampleID column (a batch).
+	keyed bool
 	// flat=true → {TupleID, KernelID, Value}; false → patch form
 	// {MatrixID, OrderID, Value} ready for a kernel join.
 	flat    bool
@@ -215,9 +236,43 @@ type relForm struct {
 
 func (r relForm) size() int { return r.c * r.h * r.w }
 
-// dropIfExists removes a table silently.
-func (t *Translator) dropIfExists(name string) {
-	t.DB.DropTable(name)
+// flatAs is the flat relation table derived from r: same sample key, the
+// given logical shape.
+func (r relForm) flatAs(table string, c, h, w int) relForm {
+	return relForm{table: table, keyed: r.keyed, flat: true, c: c, h: h, w: w}
+}
+
+// Sample-key fragments. Every SQL template splices these into its select
+// list, GROUP BY and join predicates; an unkeyed relation renders each
+// as "", so its statements are exactly the per-sample pipeline's.
+
+// keySel is the select-list fragment "A.SampleID AS SampleID, " (bare
+// "SampleID, " for an unqualified select).
+func (r relForm) keySel(alias string) string {
+	if r.keyed && alias != "" {
+		return alias + ".SampleID AS SampleID, "
+	}
+	return r.keyBy(alias)
+}
+
+// keyBy is the column fragment "A.SampleID, " for GROUP BY lists and
+// unaliased select lists.
+func (r relForm) keyBy(alias string) string {
+	switch {
+	case !r.keyed:
+		return ""
+	case alias == "":
+		return "SampleID, "
+	}
+	return alias + ".SampleID, "
+}
+
+// keyEq is the join-predicate fragment "A.SampleID = B.SampleID AND ".
+func (r relForm) keyEq(a, b string) string {
+	if !r.keyed {
+		return ""
+	}
+	return a + ".SampleID = " + b + ".SampleID AND "
 }
 
 // Supported reports whether the translator can compile the given layer

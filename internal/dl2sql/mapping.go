@@ -20,7 +20,7 @@ import (
 // The mapping depends only on (inShape, k, stride, pad) — as the paper
 // notes, it is generated offline once per layer geometry.
 func (t *Translator) storeConvMapping(name string, inShape []int, k, stride, pad int) error {
-	t.dropIfExists(name)
+	t.DB.DropTable(name)
 	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
 		{Name: "MatrixID", Type: sqldb.TInt},
 		{Name: "OrderID", Type: sqldb.TInt},
@@ -67,7 +67,7 @@ func (t *Translator) storeConvMapping(name string, inShape []int, k, stride, pad
 // KernelID aggregates the input elements TupleID. Q3 then reduces it with
 // MAX or AVG grouped by (KernelID, MatrixID). Pooling never pads.
 func (t *Translator) storePoolMapping(name string, inShape []int, k, stride int) error {
-	t.dropIfExists(name)
+	t.DB.DropTable(name)
 	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
 		{Name: "MatrixID", Type: sqldb.TInt},
 		{Name: "KernelID", Type: sqldb.TInt},

@@ -55,7 +55,7 @@ func (t *Translator) StoreModel(m *nn.Model) (*StoredModel, error) {
 	}
 	// Metadata table: one row of hyper-parameters per stored layer.
 	metaName := t.tname("meta")
-	t.dropIfExists(metaName)
+	t.DB.DropTable(metaName)
 	meta, err := t.DB.CreateTable(metaName, sqldb.Schema{
 		{Name: "LayerName", Type: sqldb.TString},
 		{Name: "Kind", Type: sqldb.TString},
@@ -267,7 +267,7 @@ func isModelStart(cur, inShape []int) bool {
 // storeKernel vectorizes a convolution's kernels into the Kernel table
 // {KernelID, OrderID, Value}, OrderID following the Im2Col element order.
 func (t *Translator) storeKernel(name string, c *nn.Conv2D) error {
-	t.dropIfExists(name)
+	t.DB.DropTable(name)
 	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
 		{Name: "KernelID", Type: sqldb.TInt},
 		{Name: "OrderID", Type: sqldb.TInt},
@@ -294,7 +294,7 @@ func (t *Translator) storeKernel(name string, c *nn.Conv2D) error {
 // the paper treats FC as a conv with kernel size 1 over the flattened
 // input, so OrderID is simply the input feature index.
 func (t *Translator) storeLinearKernel(name string, l *nn.Linear) error {
-	t.dropIfExists(name)
+	t.DB.DropTable(name)
 	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
 		{Name: "KernelID", Type: sqldb.TInt},
 		{Name: "OrderID", Type: sqldb.TInt},
@@ -343,7 +343,7 @@ func instanceNormIsIdentity(in *nn.InstanceNorm) bool {
 // {KernelID, Gamma, Beta, Mean, Var}. Mean/Var are zero/one when the layer
 // normalizes with batch statistics.
 func (t *Translator) storeBNParams(name string, gamma, beta, mean, variance []float64) error {
-	t.dropIfExists(name)
+	t.DB.DropTable(name)
 	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
 		{Name: "KernelID", Type: sqldb.TInt},
 		{Name: "Gamma", Type: sqldb.TFloat},
@@ -374,7 +374,7 @@ func (t *Translator) storeBNParams(name string, gamma, beta, mean, variance []fl
 
 // storeBias stores per-output-channel biases.
 func (t *Translator) storeBias(name string, bias []float64) error {
-	t.dropIfExists(name)
+	t.DB.DropTable(name)
 	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
 		{Name: "KernelID", Type: sqldb.TInt},
 		{Name: "Value", Type: sqldb.TFloat},
@@ -395,7 +395,7 @@ func (t *Translator) storeBias(name string, bias []float64) error {
 // contributes Weight to output element (KernelID, OutID). Inference is then
 // one join + group-by, the natural SQL form of a scatter.
 func (t *Translator) storeDeconvContrib(name string, d *nn.Deconv2D, inShape []int) error {
-	t.dropIfExists(name)
+	t.DB.DropTable(name)
 	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
 		{Name: "TupleID", Type: sqldb.TInt},
 		{Name: "KernelID", Type: sqldb.TInt},
@@ -469,60 +469,4 @@ func (sm *StoredModel) StorageBytes(db *sqldb.DB) int64 {
 // TableNames lists every relational table backing the stored model.
 func (sm *StoredModel) TableNames() []string {
 	return append([]string(nil), sm.tableNames...)
-}
-
-// EncodeInput implements Algorithm 1: it turns an input tensor into the
-// patch-form FeatureMap table for the model's first convolution (kernel k,
-// stride s, padding p). Rows are {MatrixID, OrderID, Value}; overlapping
-// receptive fields duplicate elements, exactly as the paper notes.
-func (t *Translator) EncodeInput(name string, in *tensor.Tensor, k, stride, pad int) (rows int, err error) {
-	t.dropIfExists(name)
-	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
-		{Name: "MatrixID", Type: sqldb.TInt},
-		{Name: "OrderID", Type: sqldb.TInt},
-		{Name: "Value", Type: sqldb.TFloat},
-	})
-	if err != nil {
-		return 0, err
-	}
-	cols, err := tensor.Im2Col(in, k, stride, pad)
-	if err != nil {
-		return 0, err
-	}
-	nm, no := cols.Dim(0), cols.Dim(1)
-	for m := 0; m < nm; m++ {
-		for o := 0; o < no; o++ {
-			if err := tbl.AppendRow([]sqldb.Datum{
-				sqldb.Int(int64(m)), sqldb.Int(int64(o)), sqldb.Float(cols.At(m, o)),
-			}); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return nm * no, nil
-}
-
-// EncodeFlat stores a tensor in flat form {TupleID, KernelID, Value} with
-// TupleID the channel-major flat index.
-func (t *Translator) EncodeFlat(name string, in *tensor.Tensor) error {
-	t.dropIfExists(name)
-	tbl, err := t.DB.CreateTable(name, sqldb.Schema{
-		{Name: "TupleID", Type: sqldb.TInt},
-		{Name: "KernelID", Type: sqldb.TInt},
-		{Name: "Value", Type: sqldb.TFloat},
-	})
-	if err != nil {
-		return err
-	}
-	shape := in.Shape()
-	c := shape[0]
-	per := in.Len() / c
-	for i, v := range in.Data() {
-		if err := tbl.AppendRow([]sqldb.Datum{
-			sqldb.Int(int64(i)), sqldb.Int(int64(i / per)), sqldb.Float(v),
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -141,3 +141,28 @@ func TestTracingDisabledUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestDL2SQLSpanBudgetExhausted: once a trace's span budget is spent,
+// StartChild returns nil no-op spans. The DL2SQL translator opens one span
+// per pipeline step after the step ran, so a long pipeline under a small
+// budget must degrade to untraced steps, not dereference a nil span, and
+// must answer exactly as the untraced run does.
+func TestDL2SQLSpanBudgetExhausted(t *testing.T) {
+	q, err := colquery.GenerateAnalyzed(colquery.Type1, colquery.TemplateParams{Selectivity: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := testContext(t)
+	want, _, err := ExecuteWithFallback(context.Background(), env, &DL2SQL{}, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Traces = obs.NewTraceStore(obs.TraceStoreConfig{Seed: 1, MaxSpansPerTrace: 8})
+	got, _, err := ExecuteWithFallback(context.Background(), env, &DL2SQL{}, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultKey(got) != resultKey(want) {
+		t.Fatalf("traced result differs from untraced:\n%s\nvs\n%s", resultKey(got), resultKey(want))
+	}
+}
