@@ -44,6 +44,22 @@ func main() {
 	)
 	flag.Parse()
 
+	// The trace file is created up front so an unwritable path fails before
+	// the run, not after it. Each strategy execution then runs as one trace
+	// of a keep-all store, and all of them are written at the end.
+	var (
+		traceOut *os.File
+		traces   *obs.TraceStore
+	)
+	if *trace != "" {
+		f, err := os.Create(*trace)
+		if err != nil {
+			fatalf("creating trace file: %v", err)
+		}
+		traceOut = f
+		traces = obs.NewTraceStore(obs.KeepAllTraces())
+	}
+
 	ds, err := iotdata.Generate(iotdata.Config{Scale: *scale, KeyframeSide: *side, Seed: 42, PatternCount: 6})
 	if err != nil {
 		fatalf("generating dataset: %v", err)
@@ -59,9 +75,6 @@ func main() {
 		fatalf("unknown profile %q", *profile)
 	}
 	ctx.Profile = prof
-	if *trace != "" {
-		ctx.Tracer = obs.New()
-	}
 
 	sql := *query
 	if sql == "" {
@@ -107,7 +120,10 @@ func main() {
 	}
 
 	for _, s := range strats {
-		res, bd, err := s.Execute(context.Background(), ctx, q)
+		tr := traces.StartTrace(context.Background(), "colquery")
+		tr.Root().SetAttr("sql", sql)
+		res, bd, err := s.Execute(obs.ContextWithTraceSpan(context.Background(), tr, tr.Root()), ctx, q)
+		traces.Finish(tr)
 		if err != nil {
 			fatalf("%s: %v", s.Name(), err)
 		}
@@ -118,17 +134,19 @@ func main() {
 		fmt.Println()
 	}
 
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			fatalf("creating trace file: %v", err)
-		}
-		defer f.Close()
-		if err := ctx.Tracer.WriteChromeTrace(f); err != nil {
+	if traceOut != nil {
+		retained := traces.Snapshot()
+		if err := obs.WriteChromeTrace(traceOut, retained...); err != nil {
 			fatalf("writing trace: %v", err)
 		}
-		fmt.Printf("wrote %d spans to %s (load in chrome://tracing or ui.perfetto.dev)\n",
-			ctx.Tracer.SpanCount(), *trace)
+		if err := traceOut.Close(); err != nil {
+			fatalf("writing trace: %v", err)
+		}
+		spans := 0
+		for _, st := range retained {
+			spans += len(st.Spans)
+		}
+		fmt.Printf("wrote %d spans to %s (load in chrome://tracing or ui.perfetto.dev)\n", spans, *trace)
 	}
 }
 

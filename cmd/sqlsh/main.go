@@ -15,7 +15,8 @@
 //	\faults SPEC    install a fault injector (see internal/faults spec
 //	                grammar, e.g. "morsel.delay:d=5ms;seed=1"); \faults stats
 //	                shows fire counts, \faults off removes it
-//	\trace PATH     start tracing; \trace off writes Chrome trace JSON to PATH
+//	\trace PATH     trace every statement (sys.spans shows them meanwhile);
+//	                \trace off writes them as Chrome trace JSON to PATH
 //	\sys            list the sys.* system tables with descriptions (they are
 //	                ordinary relations: SELECT * FROM sys.queries works, and
 //	                Ctrl-C cancels a sys.* scan like any other query)
@@ -72,10 +73,14 @@ import (
 
 // shell is the REPL state shared between queries and meta-commands.
 type shell struct {
-	db        *sqldb.DB
-	timing    bool
-	traceFile string        // destination for the active trace; "" when off
-	timeout   time.Duration // per-query deadline; 0 = none
+	db      *sqldb.DB
+	timing  bool
+	timeout time.Duration // per-query deadline; 0 = none
+
+	// While \trace is on, traceOut is the already-created destination and
+	// db.Traces is a keep-all store; prevTraces is the store it displaced.
+	traceOut   *os.File
+	prevTraces *obs.TraceStore
 
 	mu     sync.Mutex
 	cancel context.CancelFunc // cancels the in-flight query; nil when idle
@@ -372,16 +377,24 @@ func (sh *shell) meta(cmd string) bool {
 			return true
 		}
 		if fields[1] == "off" {
-			if sh.traceFile == "" {
+			if sh.traceOut == nil {
 				fmt.Println("tracing is not active")
 				return true
 			}
 			sh.flushTrace()
 			return true
 		}
-		sh.traceFile = fields[1]
-		db.Tracer = obs.New()
-		fmt.Printf("tracing to %s (\\trace off to write)\n", sh.traceFile)
+		// Write what the previous \trace collected before starting over, and
+		// create the new file now so a bad path fails before any query runs.
+		sh.flushTrace()
+		f, err := os.Create(fields[1])
+		if err != nil {
+			fmt.Printf("trace: %v\n", err)
+			return true
+		}
+		sh.traceOut, sh.prevTraces = f, db.Traces
+		db.Traces = obs.NewTraceStore(obs.KeepAllTraces())
+		fmt.Printf("tracing to %s (\\trace off to write)\n", f.Name())
 		return true
 	case `\save`:
 		if len(fields) != 2 {
@@ -399,26 +412,28 @@ func (sh *shell) meta(cmd string) bool {
 	return true
 }
 
-// flushTrace writes the active trace (if any) as Chrome trace_event JSON
-// and disables tracing.
+// flushTrace writes every statement trace collected since \trace PATH as
+// one Chrome trace_event JSON file and restores the displaced trace store.
 func (sh *shell) flushTrace() {
-	if sh.traceFile == "" || sh.db.Tracer == nil {
+	f := sh.traceOut
+	if f == nil {
 		return
 	}
-	f, err := os.Create(sh.traceFile)
+	traces := sh.db.Traces.Snapshot()
+	sh.db.Traces, sh.traceOut, sh.prevTraces = sh.prevTraces, nil, nil
+	err := obs.WriteChromeTrace(f, traces...)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		fmt.Printf("trace write failed: %v\n", err)
 		return
 	}
-	defer f.Close()
-	if err := sh.db.Tracer.WriteChromeTrace(f); err != nil {
-		fmt.Printf("trace write failed: %v\n", err)
-		return
+	spans := 0
+	for _, st := range traces {
+		spans += len(st.Spans)
 	}
-	fmt.Printf("wrote %d spans to %s (load in chrome://tracing or ui.perfetto.dev)\n",
-		sh.db.Tracer.SpanCount(), sh.traceFile)
-	sh.db.Tracer = nil
-	sh.traceFile = ""
+	fmt.Printf("wrote %d spans to %s (load in chrome://tracing or ui.perfetto.dev)\n", spans, f.Name())
 }
 
 func (sh *shell) run(sql string) {

@@ -202,7 +202,7 @@ GROUP BY F.patternID`
 	}
 	snap := keepAll.Snapshot()
 	var chrome bytes.Buffer
-	if err := snap[len(snap)-1].WriteChromeTrace(&chrome); err != nil {
+	if err := obs.WriteChromeTrace(&chrome, snap[len(snap)-1]); err != nil {
 		fatalf("chrome export self-check: %v", err)
 	}
 	if !strings.Contains(chrome.String(), "trace_id") {

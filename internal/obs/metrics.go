@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,7 @@ import (
 )
 
 // Registry is a named collection of counters, gauges, and histograms. Like
-// the tracer, a nil *Registry is a valid disabled registry: lookups return
+// a nil *Span, a nil *Registry is a valid disabled registry: lookups return
 // nil instruments whose methods are no-ops.
 type Registry struct {
 	mu       sync.Mutex
@@ -392,4 +393,14 @@ func (s Snapshot) String() string {
 			k, h.Count, h.Mean, h.P50, h.P95, h.P99, h.Max)
 	}
 	return sb.String()
+}
+
+// sortedKeys returns map keys in deterministic order (exporter helper).
+func sortedKeys[M ~map[string]V, V any](m M) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -9,35 +10,62 @@ import (
 	"time"
 )
 
-func TestNilTracerIsNoOp(t *testing.T) {
-	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
+// keepAll starts a trace on a fresh keep-all store; retain finishes it and
+// returns its flattened rows.
+func keepAll(t *testing.T, root string) (*TraceStore, *Trace) {
+	t.Helper()
+	ts := NewTraceStore(KeepAllTraces())
+	return ts, ts.StartTrace(context.Background(), root)
+}
+
+func retain(t *testing.T, ts *TraceStore, tr *Trace) *StoredTrace {
+	t.Helper()
+	if !ts.Finish(tr) {
+		t.Fatal("keep-all store dropped a trace")
 	}
-	sp := tr.StartSpan("root")
+	st, ok := ts.Get(tr.ID())
+	if !ok {
+		t.Fatalf("trace %s not retained", tr.ID())
+	}
+	return st
+}
+
+// TestNilTracerIsNoOp: with no trace store armed there is no trace, no
+// root span, and no active span, and every downstream span call is safe.
+func TestNilTracerIsNoOp(t *testing.T) {
+	var ts *TraceStore
+	tr := ts.StartTrace(context.Background(), "root")
+	if tr != nil {
+		t.Fatal("nil store returned a live trace")
+	}
+	sp := tr.Root()
 	if sp != nil {
-		t.Fatal("nil tracer returned a live span")
+		t.Fatal("nil trace returned a live span")
 	}
 	// Every downstream call must be safe on the nil span.
 	child := sp.StartChild("child")
 	child.SetAttr("k", "v")
 	child.Finish()
 	sp.Finish()
-	if tr.Tree() != "" {
-		t.Fatal("nil tracer rendered a tree")
+	ctx := context.Background()
+	if got, s := StartSpan(ctx, "orphan"); got != ctx || s != nil {
+		t.Fatal("StartSpan without an active span must be a no-op")
+	}
+	if ts.Finish(tr) {
+		t.Fatal("nil store retained a trace")
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, ts.Snapshot()...); err != nil {
 		t.Fatal(err)
 	}
 	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Fatalf("nil tracer chrome export = %q, want []", buf.String())
+		t.Fatalf("empty chrome export = %q, want []", buf.String())
 	}
 }
 
 func TestSpanNesting(t *testing.T) {
-	tr := New()
-	root := tr.StartSpan("query")
+	ts, tr := keepAll(t, "query")
+	root := tr.Root()
 	root.SetAttr("sql", "SELECT 1")
 	scan := root.StartChild("Scan")
 	scan.SetAttr("rows", 10)
@@ -46,13 +74,16 @@ func TestSpanNesting(t *testing.T) {
 	inner := join.StartChild("probe")
 	inner.Finish()
 	join.Finish()
-	root.Finish()
+	st := retain(t, ts, tr)
 
-	if got := tr.SpanCount(); got != 4 {
-		t.Fatalf("span count = %d, want 4", got)
+	if got := len(st.Spans); got != 4 || st.SpanTotal != 4 {
+		t.Fatalf("span count = %d (total %d), want 4", got, st.SpanTotal)
 	}
-	if tr.FindSpan("probe") == nil {
-		t.Fatal("nested span not reachable")
+	if st.Spans[3].Name != "probe" || st.Spans[3].ParentID != st.Spans[2].SpanID {
+		t.Fatalf("nested span not under its parent: %+v", st.Spans)
+	}
+	if st.Spans[1].Attrs != "rows=10" {
+		t.Fatalf("scan attrs = %q, want rows=10", st.Spans[1].Attrs)
 	}
 	kids := root.Children()
 	if len(kids) != 2 || kids[0].Name != "Scan" || kids[1].Name != "Join" {
@@ -63,39 +94,40 @@ func TestSpanNesting(t *testing.T) {
 	}
 }
 
+// TestTreeExporter: the flattened rows are the tree — depth-first, root
+// first, each child linked to its parent in creation order.
 func TestTreeExporter(t *testing.T) {
-	tr := New()
-	root := tr.StartSpan("inference")
+	ts, tr := keepAll(t, "inference")
+	root := tr.Root()
 	l1 := root.StartChild("conv2d:conv1")
 	l1.Finish()
 	l2 := root.StartChild("relu:act1")
 	l2.Finish()
-	root.Finish()
+	rows := retain(t, ts, tr).Spans
 
-	tree := tr.Tree()
-	lines := strings.Split(strings.TrimRight(tree, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("tree has %d lines, want 3:\n%s", len(lines), tree)
+	if len(rows) != 3 {
+		t.Fatalf("tree has %d rows, want 3: %+v", len(rows), rows)
 	}
-	if !strings.HasPrefix(lines[0], "inference") {
-		t.Fatalf("root line = %q", lines[0])
+	if rows[0].Name != "inference" || rows[0].ParentID != 0 {
+		t.Fatalf("root row = %+v", rows[0])
 	}
-	if !strings.HasPrefix(lines[1], "  conv2d:conv1") || !strings.HasPrefix(lines[2], "  relu:act1") {
-		t.Fatalf("children not indented under root:\n%s", tree)
+	if rows[1].Name != "conv2d:conv1" || rows[2].Name != "relu:act1" ||
+		rows[1].ParentID != rows[0].SpanID || rows[2].ParentID != rows[0].SpanID {
+		t.Fatalf("children not under root: %+v", rows)
 	}
 }
 
 func TestChromeTraceExporter(t *testing.T) {
-	tr := New()
-	root := tr.StartSpan("strategy")
+	ts, tr := keepAll(t, "strategy")
+	root := tr.Root()
 	root.SetAttr("name", "DL2SQL")
 	child := root.StartChild("loading")
 	time.Sleep(time.Millisecond)
 	child.Finish()
-	root.Finish()
+	st := retain(t, ts, tr)
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, st); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
@@ -120,7 +152,7 @@ func TestChromeTraceExporter(t *testing.T) {
 		t.Fatalf("first event = %v, want root span", events[0]["name"])
 	}
 	args, ok := events[0]["args"].(map[string]any)
-	if !ok || args["name"] != "DL2SQL" {
+	if !ok || args["attrs"] != "name=DL2SQL" {
 		t.Fatalf("root span args not exported: %v", events[0]["args"])
 	}
 	// Child duration must sit inside the parent's window.
@@ -129,10 +161,68 @@ func TestChromeTraceExporter(t *testing.T) {
 	}
 }
 
+// TestChromeTraceMultiTrace: one export over several retained traces has
+// one event per retained span, keeps each event's trace_id, and puts every
+// timestamp on one timeline starting at the earliest trace.
+func TestChromeTraceMultiTrace(t *testing.T) {
+	ts := NewTraceStore(KeepAllTraces())
+	first := ts.StartTrace(context.Background(), "first")
+	first.Root().StartChild("a").Finish()
+	time.Sleep(2 * time.Millisecond)
+	second := ts.StartTrace(context.Background(), "second")
+	second.Root().StartChild("b").Finish()
+	second.Root().StartChild("c").Finish()
+	// Finish out of start order: the export must still anchor on the
+	// earliest start, not on the first trace passed in.
+	ts.Finish(second)
+	ts.Finish(first)
+	snap := ts.Snapshot()
+	if len(snap) != 2 || snap[0].ID != second.ID() {
+		t.Fatalf("snapshot = %d traces, want second then first", len(snap))
+	}
+
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, snap...); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string  `json:"name"`
+		TS   float64 `json:"ts"`
+		Args struct {
+			TraceID string `json:"trace_id"`
+		} `json:"args"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("chrome export is not valid JSON: %v", err)
+	}
+	if want := len(snap[0].Spans) + len(snap[1].Spans); len(events) != 5 || len(events) != want {
+		t.Fatalf("exported %d events, want 5 (= %d retained spans)", len(events), want)
+	}
+	byTrace := map[string]int{}
+	ts0 := map[string]float64{}
+	for _, ev := range events {
+		byTrace[ev.Args.TraceID]++
+		ts0[ev.Name] = ev.TS
+		if ev.TS < 0 {
+			t.Fatalf("event %s at %vµs precedes the earliest start", ev.Name, ev.TS)
+		}
+	}
+	if len(byTrace) != 2 || byTrace[first.ID()] != 2 || byTrace[second.ID()] != 3 {
+		t.Fatalf("events per trace_id = %v, want 2 and 3 under distinct IDs", byTrace)
+	}
+	if ts0["first"] != 0 {
+		t.Fatalf("earliest root at %vµs, want 0", ts0["first"])
+	}
+	wantSecond := float64(second.Start().Sub(first.Start())) / float64(time.Microsecond)
+	if ts0["second"] != wantSecond || wantSecond < 2000 {
+		t.Fatalf("second root at %vµs, want %vµs (relative to the earliest start)", ts0["second"], wantSecond)
+	}
+}
+
 func TestConcurrentSpansAndMetrics(t *testing.T) {
-	tr := New()
+	ts, tr := keepAll(t, "parallel")
 	reg := NewRegistry()
-	root := tr.StartSpan("parallel")
+	root := tr.Root()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -153,6 +243,7 @@ func TestConcurrentSpansAndMetrics(t *testing.T) {
 	if got := len(root.Children()); got != 16*50 {
 		t.Fatalf("children = %d, want %d", got, 16*50)
 	}
+	ts.Finish(tr)
 	if got := reg.Counter("ops").Value(); got != 16*50 {
 		t.Fatalf("counter = %d, want %d", got, 16*50)
 	}

@@ -245,38 +245,11 @@ func ValidTraceID(id string) bool {
 	return true
 }
 
-// StartSpan opens a span as a child of the context's active span when one
-// exists, as a root span on the tracer otherwise. When both are live the
-// span is created under the context parent and additionally adopted into
-// the tracer's root list, so tracer-based views (sqlsh \trace, dl2sql
-// -trace, FindSpan in tests) keep seeing it. Returns the context carrying
-// the new span as the active parent; when neither sink is live it returns
-// ctx unchanged and a nil span (the usual zero-cost disabled path).
-func StartSpan(ctx context.Context, tracer *Tracer, name string) (context.Context, *Span) {
-	parent := SpanFromContext(ctx)
-	if parent == nil {
-		s := tracer.StartSpan(name)
-		if s == nil {
-			return ctx, nil
-		}
-		return ContextWithSpan(ctx, s), s
-	}
-	s := parent.StartChild(name)
-	tracer.Adopt(s)
+// StartSpan opens a child of the context's active span and returns the
+// context carrying it as the new active parent. With no active span (no
+// trace armed) it returns ctx unchanged and a nil span — the usual
+// zero-cost disabled path.
+func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+	s := SpanFromContext(ctx).StartChild(name)
 	return ContextWithSpan(ctx, s), s
-}
-
-// Adopt appends an existing span to the tracer's root list so tracer-based
-// exporters render it even though its parent lives in another tree (the
-// request-scoped trace). Safe on nil receiver and nil span.
-func (t *Tracer) Adopt(s *Span) {
-	if t == nil || s == nil {
-		return
-	}
-	// The tracer's views (sqlsh \trace) outlive the trace that owns the
-	// span, so its arena chunk must never be recycled.
-	s.arena.pin()
-	t.mu.Lock()
-	t.roots = append(t.roots, s)
-	t.mu.Unlock()
 }

@@ -54,6 +54,18 @@ type TraceStoreConfig struct {
 	Metrics *Registry
 }
 
+// KeepAllTraces configures a store for offline capture (dl2sql -trace,
+// the embedded sqlsh \trace, tests): every trace is retained whole — no
+// sampling, no slow criterion, and span and trace bounds no run reaches.
+func KeepAllTraces() TraceStoreConfig {
+	return TraceStoreConfig{
+		SampleEvery:      1,
+		SlowThreshold:    -1,
+		MaxSpansPerTrace: 1 << 30,
+		MaxTraces:        1 << 16,
+	}
+}
+
 func (c TraceStoreConfig) maxTraces() int {
 	if c.MaxTraces <= 0 {
 		return 256
@@ -234,8 +246,7 @@ func (ts *TraceStore) Finish(t *Trace) bool {
 	if reason == "" {
 		t.state.Store(traceDropped)
 		// The span tree is unreachable from here on: detach it and hand
-		// the chunk back to the pool for the next trace (unless a Tracer
-		// adopted a span, which pins the arena).
+		// the chunk back to the pool for the next trace.
 		t.root = nil
 		t.arena.release()
 		if ts.mDropped != nil {
@@ -396,29 +407,53 @@ func (ts *TraceStore) SlowThreshold() time.Duration {
 	return ts.cfg.slowThreshold()
 }
 
-// WriteChromeTrace exports one retained trace as Chrome trace_event JSON
-// (load it at chrome://tracing or https://ui.perfetto.dev). Timestamps are
-// microseconds relative to the trace start.
-func (st *StoredTrace) WriteChromeTrace(w io.Writer) error {
-	events := make([]chromeEvent, 0, len(st.Spans))
-	for _, r := range st.Spans {
-		ev := chromeEvent{
-			Name:  r.Name,
-			Phase: "X",
-			TS:    float64(r.Start.Sub(st.Start)) / float64(time.Microsecond),
-			Dur:   float64(r.Dur) / float64(time.Microsecond),
-			PID:   1,
-			TID:   1,
+// chromeEvent is one Chrome trace_event entry ("X" = complete event).
+type chromeEvent struct {
+	Name  string         `json:"name"`
+	Phase string         `json:"ph"`
+	TS    float64        `json:"ts"`  // microseconds since the earliest trace start
+	Dur   float64        `json:"dur"` // microseconds
+	PID   int            `json:"pid"`
+	TID   int            `json:"tid"`
+	Args  map[string]any `json:"args,omitempty"`
+}
+
+// WriteChromeTrace exports retained traces as one Chrome trace_event JSON
+// array (load it at chrome://tracing or https://ui.perfetto.dev): one
+// complete event per retained span, trace by trace, depth-first within
+// each. Timestamps are microseconds relative to the earliest trace start,
+// so several traces share one timeline, and every event carries its
+// trace_id in args.
+func WriteChromeTrace(w io.Writer, traces ...*StoredTrace) error {
+	var epoch time.Time
+	n := 0
+	for i, st := range traces {
+		if i == 0 || st.Start.Before(epoch) {
+			epoch = st.Start
 		}
-		ev.Args = map[string]any{
-			"trace_id": st.ID,
-			"span_id":  r.SpanID,
-			"parent":   r.ParentID,
+		n += len(st.Spans)
+	}
+	events := make([]chromeEvent, 0, n)
+	for _, st := range traces {
+		for _, r := range st.Spans {
+			ev := chromeEvent{
+				Name:  r.Name,
+				Phase: "X",
+				TS:    float64(r.Start.Sub(epoch)) / float64(time.Microsecond),
+				Dur:   float64(r.Dur) / float64(time.Microsecond),
+				PID:   1,
+				TID:   1,
+			}
+			ev.Args = map[string]any{
+				"trace_id": st.ID,
+				"span_id":  r.SpanID,
+				"parent":   r.ParentID,
+			}
+			if r.Attrs != "" {
+				ev.Args["attrs"] = r.Attrs
+			}
+			events = append(events, ev)
 		}
-		if r.Attrs != "" {
-			ev.Args["attrs"] = r.Attrs
-		}
-		events = append(events, ev)
 	}
 	return json.NewEncoder(w).Encode(events)
 }

@@ -210,7 +210,7 @@ func TestStoredTraceChromeExport(t *testing.T) {
 	finishTrace(ts, tr)
 	st, _ := ts.Get(tr.ID())
 	var buf bytes.Buffer
-	if err := st.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, st); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any

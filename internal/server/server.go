@@ -422,7 +422,7 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	st.WriteChromeTrace(w)
+	obs.WriteChromeTrace(w, st)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -771,7 +771,6 @@ func (s *Server) runQuery(reqCtx context.Context, sess *Session, tenant string,
 		} else {
 			tr.Root().SetAttr("tenant", tenant)
 		}
-		s.db.Tracer.Adopt(tr.Root())
 		ctx = obs.ContextWithTraceSpan(ctx, tr, tr.Root())
 	}
 

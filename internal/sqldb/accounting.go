@@ -134,9 +134,6 @@ func (db *DB) recordQuery(ctx context.Context, sql string, fn func(ctx context.C
 			tr = db.Traces.StartTraceAt(ctx, "query", start)
 			created = true
 			span = tr.Root()
-			// Adopt the root into the session tracer so tracer-based views
-			// (sqlsh \trace, EXPLAIN-style dumps) keep rendering it.
-			db.Tracer.Adopt(span)
 		} else if parent := obs.SpanFromContext(ctx); parent != nil {
 			span = parent.StartChildAt("sql", start)
 		} else {

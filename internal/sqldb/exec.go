@@ -164,8 +164,8 @@ func (ns *NodeStats) ParSkew() float64 {
 
 // execCtx threads the per-query execution context through the plan tree:
 // the session profile, the per-node stats collector (non-nil only under
-// EXPLAIN ANALYZE), the parent trace span (non-nil only when the DB has a
-// tracer attached), the query's parallelism degree, and the plan node
+// EXPLAIN ANALYZE), the parent trace span (non-nil only when the
+// statement runs under a trace), the query's parallelism degree, and the plan node
 // being executed (set only while collecting per-node stats, so parallel
 // operators can attribute their morsel counts). The common case — nodes
 // and span both nil — costs a single branch per plan node on top of the

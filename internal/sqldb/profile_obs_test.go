@@ -74,9 +74,9 @@ func TestProfileReset(t *testing.T) {
 	nilProf.Reset() // must not panic
 }
 
-// TestQueryOperatorSpans checks that attaching a tracer to the DB produces
-// one query root span with nested per-operator children, and that the
-// export is Chrome-loadable JSON.
+// TestQueryOperatorSpans checks that arming a keep-all trace store on the
+// DB produces one query root span with nested per-operator children, and
+// that the export is Chrome-loadable JSON.
 func TestQueryOperatorSpans(t *testing.T) {
 	db := New()
 	for _, sql := range []string{
@@ -89,26 +89,40 @@ func TestQueryOperatorSpans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.Tracer = obs.New()
+	db.Traces = obs.NewTraceStore(obs.KeepAllTraces())
 	if _, err := db.Exec("SELECT a.v, b.w FROM a, b WHERE a.id = b.id AND a.v > 1"); err != nil {
 		t.Fatal(err)
 	}
-	roots := db.Tracer.Roots()
-	if len(roots) != 1 || roots[0].Name != "query" {
-		t.Fatalf("roots = %+v, want one query span", roots)
+	traces := db.Traces.Snapshot()
+	if len(traces) != 1 || traces[0].Spans[0].Name != "query" {
+		t.Fatalf("traces = %+v, want one rooted at a query span", traces)
+	}
+	spans := traces[0].Spans
+	find := func(name string) *obs.SpanRow {
+		for i := range spans {
+			if spans[i].Name == name {
+				return &spans[i]
+			}
+		}
+		return nil
 	}
 	for _, name := range []string{"Scan a", "Scan b", "HashJoin", "Project"} {
-		if db.Tracer.FindSpan(name) == nil {
-			t.Fatalf("missing operator span %q in:\n%s", name, db.Tracer.Tree())
+		if find(name) == nil {
+			t.Fatalf("missing operator span %q in: %+v", name, spans)
 		}
 	}
-	join := db.Tracer.FindSpan("HashJoin")
-	if len(join.Children()) != 2 {
-		t.Fatalf("join span has %d children, want its two scans:\n%s",
-			len(join.Children()), db.Tracer.Tree())
+	join := find("HashJoin")
+	kids := 0
+	for _, r := range spans {
+		if r.ParentID == join.SpanID {
+			kids++
+		}
+	}
+	if kids != 2 {
+		t.Fatalf("join span has %d children, want its two scans: %+v", kids, spans)
 	}
 	var buf bytes.Buffer
-	if err := db.Tracer.WriteChromeTrace(&buf); err != nil {
+	if err := obs.WriteChromeTrace(&buf, traces...); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
@@ -119,17 +133,11 @@ func TestQueryOperatorSpans(t *testing.T) {
 		t.Fatalf("trace export has %d events, want >=5", len(events))
 	}
 	// Row counts ride along as span attributes.
-	found := false
-	for _, a := range join.Attrs() {
-		if a.Key == "rows" {
-			found = true
-		}
+	if !strings.Contains(join.Attrs, "rows=") {
+		t.Fatalf("join span missing rows attribute: %q", join.Attrs)
 	}
-	if !found {
-		t.Fatal("join span missing rows attribute")
-	}
-	// Detaching the tracer restores the silent fast path.
-	db.Tracer = nil
+	// Disarming the store restores the silent fast path.
+	db.Traces = nil
 	if _, err := db.Exec("SELECT * FROM a"); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/schedule"
 )
@@ -58,19 +57,15 @@ const schedModelCacheCap = 8
 // runServingBatch adapts the DB-PyTorch serving pipe to the scheduler's
 // Backend contract: one coalesced batch becomes one serveWithRetry call
 // (breaker, retry policy, and serving fault points all apply), with the
-// batch positions standing in for video IDs on the wire.
+// batch positions standing in for video IDs on the wire. A batch serves
+// several queries at once, so it opens no span of its own; each waiter's
+// sched:infer span covers its share.
 func (env *Context) runServingBatch(ctx context.Context, artifact []byte, blobs [][]byte) ([]int, schedule.BackendStats, error) {
 	cands := make([]candidate, len(blobs))
 	for i, b := range blobs {
 		cands[i] = candidate{videoID: int64(i), blob: b}
 	}
-	var span *obs.Span
-	if env.Tracer != nil {
-		span = env.Tracer.StartSpan("scheduler:serving-batch")
-		span.SetAttr("batch", len(blobs))
-		defer span.Finish()
-	}
-	results, stats, err := env.serveWithRetry(ctx, artifact, cands, span)
+	results, stats, err := env.serveWithRetry(ctx, artifact, cands, nil)
 	if err != nil {
 		return nil, schedule.BackendStats{}, err
 	}

@@ -100,11 +100,6 @@ type Context struct {
 	Profile  hwprofile.Profile
 	// HintProvider supplies Eq. 9–10 selectivities for DL2SQL-OP.
 	HintProvider *hints.Provider
-	// Tracer, when non-nil, receives one root span per strategy execution
-	// with nested loading/inference/relational phase spans (and, below
-	// them, per-NN-layer or per-SQL-step spans). Nil disables tracing at
-	// zero cost.
-	Tracer *obs.Tracer
 	// Metrics, when non-nil, accumulates per-strategy phase latency
 	// histograms and query counters across Execute calls.
 	Metrics *obs.Registry
@@ -333,9 +328,6 @@ func ExecuteWithFallback(ctx context.Context, env *Context, s Strategy, q *colqu
 			tr = env.Traces.StartTrace(ctx, "colquery")
 			created = true
 			span = tr.Root()
-			// Adopt the root into the session tracer so tracer-based views
-			// (sqlsh \trace, dl2sql -trace) keep rendering it.
-			env.Tracer.Adopt(span)
 		} else if parent := obs.SpanFromContext(ctx); parent != nil {
 			span = parent.StartChild("colquery")
 		} else {
@@ -391,7 +383,7 @@ func executeWithFallback(ctx context.Context, env *Context, s Strategy, q *colqu
 			env.Metrics.Counter(obs.MetricFallbackTotal).Add(1)
 		}
 		obs.TraceFromContext(ctx).MarkFallback()
-		_, sp := obs.StartSpan(ctx, env.Tracer, "fallback:"+s.Name()+"->"+next.Name())
+		_, sp := obs.StartSpan(ctx, "fallback:"+s.Name()+"->"+next.Name())
 		sp.SetAttr("cause", err.Error())
 		sp.Finish()
 		s = next

@@ -11,44 +11,52 @@ import (
 	"repro/internal/obs"
 )
 
-// collectNames walks a span tree collecting every span name.
-func collectNames(sp *obs.Span, out map[string]int) {
-	if sp == nil {
-		return
+// executeTraced runs one strategy execution as a trace of a keep-all store
+// and returns the retained trace together with the span-name counts of the
+// strategy's subtree: every span below the trace root, which must have
+// exactly one child — the strategy span.
+func executeTraced(t *testing.T, env *Context, s Strategy, q *colquery.Query) (*obs.StoredTrace, map[string]int) {
+	t.Helper()
+	ts := obs.NewTraceStore(obs.KeepAllTraces())
+	tr := ts.StartTrace(context.Background(), "colquery")
+	if _, _, err := s.Execute(obs.ContextWithTraceSpan(context.Background(), tr, tr.Root()), env, q); err != nil {
+		t.Fatalf("%s: %v", s.Name(), err)
 	}
-	out[sp.Name]++
-	for _, c := range sp.Children() {
-		collectNames(c, out)
+	ts.Finish(tr)
+	st, ok := ts.Get(tr.ID())
+	if !ok || st.Truncated() {
+		t.Fatalf("%s: keep-all store lost or truncated the trace", s.Name())
 	}
+	names := map[string]int{}
+	roots := 0
+	for _, r := range st.Spans[1:] {
+		names[r.Name]++
+		if r.ParentID == st.Spans[0].SpanID {
+			roots++
+		}
+	}
+	if roots != 1 {
+		t.Fatalf("%s: want 1 root span, got %d", s.Name(), roots)
+	}
+	if want := "strategy:" + s.Name(); st.Spans[1].Name != want {
+		t.Fatalf("root span %q, want %q", st.Spans[1].Name, want)
+	}
+	return st, names
 }
 
 // TestStrategyTraces is the acceptance test for strategy-level tracing:
-// every strategy executed with a tracer must produce one root span with
-// nested loading / inference / relational phase spans, and the whole tree
-// must export as Chrome-loadable trace_event JSON.
+// every strategy executed under a trace must produce one strategy span
+// with nested loading / inference / relational phase spans, and the whole
+// tree must export as Chrome-loadable trace_event JSON.
 func TestStrategyTraces(t *testing.T) {
 	ctx := testContext(t)
-	ctx.Tracer = obs.New()
 	ctx.Metrics = obs.NewRegistry()
 	q, err := colquery.GenerateAnalyzed(colquery.Type1, colquery.TemplateParams{Selectivity: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range All() {
-		ctx.Tracer.Reset()
-		if _, _, err := s.Execute(context.Background(), ctx, q); err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		roots := ctx.Tracer.Roots()
-		if len(roots) != 1 {
-			t.Fatalf("%s: want 1 root span, got %d", s.Name(), len(roots))
-		}
-		root := roots[0]
-		if want := "strategy:" + s.Name(); root.Name != want {
-			t.Fatalf("root span %q, want %q", root.Name, want)
-		}
-		names := map[string]int{}
-		collectNames(root, names)
+		st, names := executeTraced(t, ctx, s, q)
 		var hasLoading, hasInference, hasRelational bool
 		for n := range names {
 			hasLoading = hasLoading || strings.HasPrefix(n, "loading:")
@@ -61,15 +69,15 @@ func TestStrategyTraces(t *testing.T) {
 		}
 		// Chrome export must be valid JSON with one complete event per span.
 		var buf bytes.Buffer
-		if err := ctx.Tracer.WriteChromeTrace(&buf); err != nil {
+		if err := obs.WriteChromeTrace(&buf, st); err != nil {
 			t.Fatalf("%s: chrome export: %v", s.Name(), err)
 		}
 		var events []map[string]any
 		if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 			t.Fatalf("%s: chrome trace is not valid JSON: %v", s.Name(), err)
 		}
-		if len(events) != ctx.Tracer.SpanCount() {
-			t.Fatalf("%s: %d chrome events for %d spans", s.Name(), len(events), ctx.Tracer.SpanCount())
+		if len(events) != st.SpanTotal {
+			t.Fatalf("%s: %d chrome events for %d spans", s.Name(), len(events), st.SpanTotal)
 		}
 	}
 	// Metrics: every strategy recorded its breakdown.
@@ -89,7 +97,6 @@ func TestStrategyTraces(t *testing.T) {
 // span per NN layer, and DL2SQL emits one span per SQL pipeline step.
 func TestPerLayerSpans(t *testing.T) {
 	ctx := testContext(t)
-	ctx.Tracer = obs.New()
 	q, err := colquery.GenerateAnalyzed(colquery.Type1, colquery.TemplateParams{Selectivity: 0.05})
 	if err != nil {
 		t.Fatal(err)
@@ -103,14 +110,7 @@ func TestPerLayerSpans(t *testing.T) {
 		{&DL2SQL{}, "Conv"},
 	}
 	for _, tc := range cases {
-		ctx.Tracer.Reset()
-		if _, _, err := tc.strat.Execute(context.Background(), ctx, q); err != nil {
-			t.Fatalf("%s: %v", tc.strat.Name(), err)
-		}
-		names := map[string]int{}
-		for _, r := range ctx.Tracer.Roots() {
-			collectNames(r, names)
-		}
+		_, names := executeTraced(t, ctx, tc.strat, q)
 		found := false
 		for n := range names {
 			if strings.HasPrefix(n, tc.marker) {
@@ -124,11 +124,11 @@ func TestPerLayerSpans(t *testing.T) {
 	}
 }
 
-// TestTracingDisabledUnchanged guards the nil fast path: with no tracer the
-// strategies run exactly as before and allocate no spans.
+// TestTracingDisabledUnchanged guards the nil fast path: with no trace
+// store armed the strategies run exactly as before and allocate no spans.
 func TestTracingDisabledUnchanged(t *testing.T) {
 	ctx := testContext(t)
-	if ctx.Tracer.Enabled() {
+	if ctx.Traces != nil || ctx.Dataset.DB.Traces != nil {
 		t.Fatal("fresh context must have tracing disabled")
 	}
 	q, err := colquery.GenerateAnalyzed(colquery.Type1, colquery.TemplateParams{Selectivity: 0.05})
